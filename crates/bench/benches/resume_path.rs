@@ -1,25 +1,21 @@
 //! The suspension/resume hot path: register+resume throughput of the
-//! sharded timer wheel vs the single-mutex heap timer ablation
-//! (`TimerKind::Heap`), at 1 and 8 workers.
+//! sharded timer wheel at 1 and 8 workers.
 //!
 //! Each iteration drives one wave of suspensions with a common deadline
 //! through a long-lived runtime: register → expire → batch-deliver →
 //! drain → reinject → join. After the criterion loops, a direct
-//! measurement pass writes `BENCH_resume.json` at the repo root with
-//! throughputs and the wheel/heap speedup per worker count (the headline
-//! acceptance number: ≥2x at P≥8).
+//! measurement pass prints the throughput per worker count and checks
+//! that every registration resumed exactly once.
 //!
 //! Run modes: `cargo bench --bench resume_path` (full), `-- --test`
-//! (single-iteration smoke, small JSON pass), `-- --quick`.
+//! (single-iteration smoke, small measurement pass), `-- --quick`.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use criterion::Criterion;
-use lhws_bench::{measure_resume, resume_rt, resume_wave, timer_name, write_bench_resume_json};
-use lhws_core::TimerKind;
+use lhws_bench::{measure_resume, resume_rt, resume_wave};
 
-const KINDS: [TimerKind; 2] = [TimerKind::Wheel, TimerKind::Heap];
+const WORKERS: [usize; 2] = [1, 8];
 const HORIZON: Duration = Duration::from_millis(1);
 
 fn bench_resume_path(c: &mut Criterion) {
@@ -27,57 +23,30 @@ fn bench_resume_path(c: &mut Criterion) {
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(6));
 
-    for kind in KINDS {
-        for p in [1usize, 8] {
-            let rt = resume_rt(kind, p);
-            g.bench_function(format!("{}_p{p}", timer_name(kind)), |b| {
-                b.iter(|| resume_wave(&rt, 2_000, HORIZON));
-            });
-        }
+    for p in WORKERS {
+        let rt = resume_rt(p);
+        g.bench_function(format!("wheel_p{p}"), |b| {
+            b.iter(|| resume_wave(&rt, 2_000, HORIZON));
+        });
     }
     g.finish();
 }
 
-fn emit_json(smoke: bool) {
+fn measure(smoke: bool) {
     let (tasks, rounds) = if smoke { (500, 1) } else { (8_000, 6) };
-    let mut ms = Vec::new();
-    for kind in KINDS {
-        for p in [1usize, 8] {
-            ms.push(measure_resume(kind, p, tasks, rounds, HORIZON));
-        }
-    }
-    // CARGO_MANIFEST_DIR is crates/bench; the JSON lands at the repo root.
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_resume.json");
-    let mode = if smoke { "smoke" } else { "full" };
-    write_bench_resume_json(&path, mode, &ms).expect("write BENCH_resume.json");
-
-    for m in &ms {
+    for p in WORKERS {
+        let m = measure_resume(p, tasks, rounds, HORIZON);
         println!(
-            "resume_path {}_p{}: {:.0} register+resume/s",
-            m.timer,
+            "resume_path wheel_p{}: {:.0} register+resume/s",
             m.workers,
             m.throughput()
         );
     }
-    let speedup = |p: usize| -> f64 {
-        let w = ms.iter().find(|m| m.timer == "wheel" && m.workers == p);
-        let h = ms.iter().find(|m| m.timer == "heap" && m.workers == p);
-        match (w, h) {
-            (Some(w), Some(h)) => w.throughput() / h.throughput(),
-            _ => 0.0,
-        }
-    };
-    println!(
-        "resume_path speedup wheel/heap: p1 {:.2}x, p8 {:.2}x -> {}",
-        speedup(1),
-        speedup(8),
-        path.display()
-    );
 }
 
 fn main() {
     let mut c = Criterion::default().configure_from_args();
     bench_resume_path(&mut c);
     let smoke = std::env::args().any(|a| a == "--test" || a == "--quick");
-    emit_json(smoke);
+    measure(smoke);
 }

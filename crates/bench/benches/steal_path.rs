@@ -1,51 +1,32 @@
-//! The thief's victim-selection path: steal throughput of live-set
-//! sampling ([`Registry::random_live_id`]) vs the paper's allocated-prefix
-//! slot array ([`Registry::random_id`]), as the fraction of dead slots
-//! grows.
+//! The thief's steal path: task-acquisition throughput of single-task
+//! steals vs steal-half batching (`steal_batch_limit`).
 //!
-//! After a suspension burst frees deques, the allocated prefix fills with
-//! dead slots; a baseline thief wastes a draw on each one, while the
-//! live-set index keeps every draw landing on a deque that can have work.
-//! Each measurement preloads 8192 deques, kills `dead_pct`% of them, and
-//! counts successful steals per second across the thief threads.
-//!
-//! After the criterion loops, a direct measurement pass writes
-//! `BENCH_steal.json` at the repo root with the full P × dead-fraction
-//! matrix and the live/slots speedup per point (the headline acceptance
-//! number: ≥1.5x at P=4 with ≥50% dead slots).
-//!
-//! A second pass writes `BENCH_steal_policy.json`: the steal-policy
-//! matrix (uniform vs affinity victim selection × single-steal vs
-//! steal-half batching) over thieves ∈ {1, 4, 8} and victim depth ∈
-//! {1, 64, 4096}. Its acceptance number is steal-half ≥1.3x over
-//! single-steal on the deep-victim shape at P=4, with the single-steal
-//! baseline itself unperturbed.
+//! Thieves drain a pool of live deques, each probe drawing a fresh
+//! uniform victim from the registry's live-set index exactly as the
+//! worker loop does. After the criterion loops, a direct measurement
+//! pass writes `BENCH_steal_policy.json` at the repo root: the matrix of
+//! single-steal vs steal-half over thieves ∈ {1, 4, 8} and victim depth
+//! ∈ {1, 64, 4096}. Its acceptance number is steal-half ≥1.3x over
+//! single-steal on the deep-victim shape at P=4.
 //!
 //! Run modes: `cargo bench --bench steal_path` (full), `-- --test`
-//! (single-iteration smoke, small JSON pass, speedup floor relaxed to
-//! parity), `-- --quick`.
-//!
-//! [`Registry::random_live_id`]: lhws_deque::Registry::random_live_id
-//! [`Registry::random_id`]: lhws_deque::Registry::random_id
+//! (single-iteration smoke, small JSON pass, speedup floor relaxed),
+//! `-- --quick`.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use criterion::Criterion;
-use lhws_bench::{
-    measure_steal, measure_steal_policy, write_bench_steal_json, write_bench_steal_policy_json,
-    StealMeasurement, StealPolicyMeasurement,
-};
+use lhws_bench::{measure_steal_policy, write_bench_steal_policy_json, StealPolicyMeasurement};
 
 const THIEVES: [usize; 3] = [1, 4, 8];
-const DEAD_PCTS: [u32; 3] = [0, 50, 90];
 
-/// Victim depths for the policy matrix: a shallow deque where batching
-/// can only strip the owner, a moderate one, and the deep-victim shape
-/// the steal-half acceptance number is measured on.
+/// Victim depths: a shallow deque where batching can only strip the
+/// owner, a moderate one, and the deep-victim shape the steal-half
+/// acceptance number is measured on.
 const DEPTHS: [usize; 3] = [1, 64, 4096];
 
-/// Steal-half caps: 1 is the PR 5 single-steal baseline path.
+/// Steal-half caps: 1 is the paper's single-task steal.
 const BATCH_LIMITS: [usize; 2] = [1, 8];
 
 fn bench_steal_path(c: &mut Criterion) {
@@ -53,107 +34,32 @@ fn bench_steal_path(c: &mut Criterion) {
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(4));
 
-    // Criterion tracks the P=4 column; emit_json covers the full matrix.
-    for dead in DEAD_PCTS {
-        for (name, live) in [("live", true), ("slots", false)] {
-            g.bench_function(format!("{name}_p4_dead{dead}"), |b| {
-                b.iter(|| measure_steal(live, 4, dead, 10_000));
-            });
-        }
+    // Criterion tracks the P=4 deep-victim cell; emit_json covers the
+    // full matrix.
+    for limit in BATCH_LIMITS {
+        g.bench_function(format!("b{limit}_p4_d4096"), |b| {
+            b.iter(|| measure_steal_policy(limit, 4, 4096, 16_384));
+        });
     }
     g.finish();
 }
 
-fn speedup(ms: &[StealMeasurement], thieves: usize, dead_pct: u32) -> f64 {
-    let at = |sampling: &str| {
-        ms.iter()
-            .find(|m| m.sampling == sampling && m.thieves == thieves && m.dead_pct == dead_pct)
-            .map(|m| m.steal_throughput())
-    };
-    match (at("live"), at("slots")) {
-        (Some(l), Some(s)) => l / s.max(1e-9),
-        _ => 0.0,
-    }
-}
-
-fn emit_json(smoke: bool) {
-    let attempts_per_thief: u64 = if smoke { 25_000 } else { 200_000 };
-    let mut ms = Vec::new();
-    for &p in &THIEVES {
-        for &dead in &DEAD_PCTS {
-            for live in [true, false] {
-                ms.push(measure_steal(live, p, dead, attempts_per_thief));
-            }
-        }
-    }
-    // CARGO_MANIFEST_DIR is crates/bench; the JSON lands at the repo root.
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_steal.json");
-    let mode = if smoke { "smoke" } else { "full" };
-    write_bench_steal_json(&path, mode, &ms).expect("write BENCH_steal.json");
-
-    for m in &ms {
-        println!(
-            "steal_path {}_p{}_dead{}: {:.0} steals/s (hit rate {:.2})",
-            m.sampling,
-            m.thieves,
-            m.dead_pct,
-            m.steal_throughput(),
-            m.hit_rate()
-        );
-    }
-    for &dead in &DEAD_PCTS {
-        println!(
-            "steal_path speedup live/slots dead{dead}: p1 {:.2}x, p4 {:.2}x, p8 {:.2}x",
-            speedup(&ms, 1, dead),
-            speedup(&ms, 4, dead),
-            speedup(&ms, 8, dead),
-        );
-    }
-    println!("steal_path wrote {}", path.display());
-
-    // The acceptance gate: with half the slots dead, live-set sampling
-    // must beat the slot-array baseline ≥1.5x at P=4. The smoke run (CI)
-    // only insists on parity — short runs are too noisy for the full bar.
-    let x = speedup(&ms, 4, 50);
-    let floor = if smoke { 1.0 } else { 1.5 };
-    assert!(
-        x >= floor,
-        "live-set sampling speedup {x:.2}x at p4/dead50 below the {floor:.1}x floor"
-    );
-}
-
-fn policy_throughput(
-    ms: &[StealPolicyMeasurement],
-    policy: &str,
-    limit: usize,
-    thieves: usize,
-    depth: usize,
-) -> f64 {
+fn throughput(ms: &[StealPolicyMeasurement], limit: usize, thieves: usize, depth: usize) -> f64 {
     ms.iter()
-        .find(|m| {
-            m.policy == policy && m.batch_limit == limit && m.thieves == thieves && m.depth == depth
-        })
+        .find(|m| m.batch_limit == limit && m.thieves == thieves && m.depth == depth)
         // The best-round (min-time) estimate: robust to scheduler
         // interference on oversubscribed CI hosts.
         .map(|m| m.peak_throughput())
         .unwrap_or(0.0)
 }
 
-fn emit_policy_json(smoke: bool) {
+fn emit_json(smoke: bool) {
     let target_tasks: u64 = if smoke { 16_384 } else { 262_144 };
     let mut ms = Vec::new();
-    for affinity in [false, true] {
-        for &limit in &BATCH_LIMITS {
-            for &p in &THIEVES {
-                for &depth in &DEPTHS {
-                    ms.push(measure_steal_policy(
-                        affinity,
-                        limit,
-                        p,
-                        depth,
-                        target_tasks,
-                    ));
-                }
+    for &limit in &BATCH_LIMITS {
+        for &p in &THIEVES {
+            for &depth in &DEPTHS {
+                ms.push(measure_steal_policy(limit, p, depth, target_tasks));
             }
         }
     }
@@ -163,8 +69,7 @@ fn emit_policy_json(smoke: bool) {
 
     for m in &ms {
         println!(
-            "steal_policy {}_b{}_p{}_d{}: {:.0} tasks/s peak, {:.0} mean ({:.2} tasks/draw)",
-            m.policy,
+            "steal_policy b{}_p{}_d{}: {:.0} tasks/s peak, {:.0} mean ({:.2} tasks/draw)",
             m.batch_limit,
             m.thieves,
             m.depth,
@@ -173,46 +78,29 @@ fn emit_policy_json(smoke: bool) {
             m.tasks_per_draw()
         );
     }
-    for policy in ["uniform", "affinity"] {
-        for &p in &THIEVES {
-            for &depth in &DEPTHS {
-                let single = policy_throughput(&ms, policy, 1, p, depth);
-                let batch = policy_throughput(&ms, policy, BATCH_LIMITS[1], p, depth);
-                println!(
-                    "steal_policy speedup batch/single {policy} p{p} depth{depth}: {:.2}x",
-                    batch / single.max(1e-9)
-                );
-            }
+    for &p in &THIEVES {
+        for &depth in &DEPTHS {
+            let single = throughput(&ms, 1, p, depth);
+            let batch = throughput(&ms, BATCH_LIMITS[1], p, depth);
+            println!(
+                "steal_policy speedup batch/single p{p} depth{depth}: {:.2}x",
+                batch / single.max(1e-9)
+            );
         }
     }
     println!("steal_path wrote {}", path.display());
 
-    // Acceptance gates. Full mode: steal-half must beat single steals
-    // ≥1.3x on the deep-victim shape at P=4 (the satellite's headline
-    // number). Smoke (CI) keeps a relaxed floor: short runs are too
-    // noisy for the full bar, but a broken batch path (lost tasks,
-    // pathological retry storms) still trips it.
-    let single = policy_throughput(&ms, "uniform", 1, 4, 4096);
-    let batch = policy_throughput(&ms, "uniform", BATCH_LIMITS[1], 4, 4096);
+    // Acceptance gate. Full mode: steal-half must beat single steals
+    // ≥1.3x on the deep-victim shape at P=4. Smoke (CI) keeps a relaxed
+    // floor: short runs are too noisy for the full bar, but a broken
+    // batch path (lost tasks, pathological retry storms) still trips it.
+    let single = throughput(&ms, 1, 4, 4096);
+    let batch = throughput(&ms, BATCH_LIMITS[1], 4, 4096);
     let x = batch / single.max(1e-9);
     let floor = if smoke { 0.5 } else { 1.3 };
     assert!(
         x >= floor,
         "steal-half speedup {x:.2}x at p4/depth4096 below the {floor:.1}x floor"
-    );
-    // Baseline-parity gate: uniform/limit-1 drives the exact single-steal
-    // entry point the PR 5 runtime default uses, and affinity/limit-1
-    // differs only in victim selection (cached victim first). Affinity is
-    // legitimately faster on the deep shape — caching skips the draw — so
-    // the window is wide; it exists to catch an order-of-magnitude
-    // regression on the default path, not to rank the two policies.
-    let aff_single = policy_throughput(&ms, "affinity", 1, 4, 4096);
-    let parity = single / aff_single.max(1e-9);
-    let (lo, hi) = if smoke { (0.1, 10.0) } else { (0.2, 5.0) };
-    assert!(
-        (lo..=hi).contains(&parity),
-        "uniform single-steal {parity:.2}x off the affinity single-steal \
-         baseline at p4/depth4096 — the default path regressed"
     );
 }
 
@@ -221,5 +109,4 @@ fn main() {
     bench_steal_path(&mut c);
     let smoke = std::env::args().any(|a| a == "--test" || a == "--quick");
     emit_json(smoke);
-    emit_policy_json(smoke);
 }

@@ -19,7 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lhws_checkrt::thread;
-use lhws_deque::{DequeKind, Registry, Steal, WorkerHandle};
+use lhws_deque::chase_lev::deque;
+use lhws_deque::{Registry, Steal};
 
 /// Two deques registered for one owner; the owner drains and releases
 /// one while a thief draws `random_live_id` and steals. Checks
@@ -27,11 +28,11 @@ use lhws_deque::{DequeKind, Registry, Steal, WorkerHandle};
 /// bookkeeping.
 pub fn live_set() {
     let reg = Arc::new(Registry::<u32>::with_capacity_and_shards(8, 1));
-    let (w0, s0) = WorkerHandle::new(DequeKind::ChaseLev);
+    let (w0, s0) = deque();
     w0.push_bottom(10);
     w0.push_bottom(11);
     let id0 = reg.register(0, s0).expect("register deque 0");
-    let (w1, s1) = WorkerHandle::new(DequeKind::ChaseLev);
+    let (w1, s1) = deque();
     w1.push_bottom(20);
     let id1 = reg.register(0, s1).expect("register deque 1");
     assert_eq!(reg.live_len(), 2);
@@ -82,7 +83,7 @@ pub fn live_set() {
 /// its own id — a violation trips the registry's internal asserts.
 pub fn aba_guard() {
     let reg = Arc::new(Registry::<u32>::with_capacity_and_shards(4, 1));
-    let (_worker, stealer) = WorkerHandle::new(DequeKind::ChaseLev);
+    let (_worker, stealer) = deque();
     let id = reg.register(0, stealer).expect("register");
 
     let r = Arc::clone(&reg);
@@ -118,11 +119,11 @@ pub fn aba_guard() {
 /// must leave the live set, and a second rescue must find nothing.
 pub fn respawn_rescue() {
     let reg = Arc::new(Registry::<u32>::with_capacity_and_shards(8, 1));
-    let (wa, sa) = WorkerHandle::new(DequeKind::ChaseLev);
+    let (wa, sa) = deque();
     wa.push_bottom(1);
     wa.push_bottom(2);
     let ida = reg.register(0, sa).expect("register deque A");
-    let (wb, sb) = WorkerHandle::new(DequeKind::ChaseLev);
+    let (wb, sb) = deque();
     wb.push_bottom(3);
     let idb = reg.register(0, sb).expect("register deque B");
     // Worker 0 "dies" here; its worker-side handles survive in the
@@ -208,7 +209,7 @@ pub fn churn() {
         let reg = Arc::clone(&reg);
         let claims = Arc::clone(&claims);
         handles.push(thread::spawn(move || {
-            let (worker, stealer) = WorkerHandle::new(DequeKind::ChaseLev);
+            let (worker, stealer) = deque();
             for k in 0..PER_OWNER {
                 worker.push_bottom((owner * PER_OWNER + k) as u32);
             }

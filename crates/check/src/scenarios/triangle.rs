@@ -20,7 +20,8 @@ use std::sync::Arc;
 
 use lhws_checkrt::sync::Event;
 use lhws_checkrt::thread;
-use lhws_deque::{DequeKind, Registry, Steal, WorkerHandle};
+use lhws_deque::chase_lev::deque;
+use lhws_deque::{Registry, Steal};
 
 /// Owner suspends mid-run (deque switch A → B), a resumer delivers the
 /// continuation, and a thief steals from whatever is live throughout.
@@ -32,7 +33,7 @@ pub fn suspend_resume_steal() {
     let executed: Arc<[AtomicUsize; 4]> = Arc::new([(); 4].map(|_| AtomicUsize::new(0)));
 
     // Worker 0 starts with tasks 1 and 2 on deque A.
-    let (wa, sa) = WorkerHandle::new(DequeKind::ChaseLev);
+    let (wa, sa) = deque();
     wa.push_bottom(1);
     wa.push_bottom(2);
     let ida = reg.register(0, sa).expect("register deque A");
@@ -55,7 +56,7 @@ pub fn suspend_resume_steal() {
     // a fresh deque B, leaving A live and stealable (the whole point of
     // latency hiding — the suspended computation's other branches keep
     // moving via steals).
-    let (wb, sb) = WorkerHandle::new(DequeKind::ChaseLev);
+    let (wb, sb) = deque();
     let idb = reg.register(0, sb).expect("register deque B");
     resume.wait();
     // Resume delivered: the continuation (task 3) lands on the active

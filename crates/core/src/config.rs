@@ -6,8 +6,6 @@ use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
-use lhws_deque::DequeKind;
-
 use crate::fault::{FaultPlan, FaultSite};
 use crate::runtime::{Runtime, RuntimeError};
 
@@ -25,52 +23,6 @@ pub enum LatencyMode {
     Block,
 }
 
-/// Victim-selection policy for steals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// The analyzed algorithm: a uniformly random deque from the global
-    /// registry (possibly freed or empty — a failed attempt). The
-    /// paper-validated default.
-    #[default]
-    Uniform,
-    /// Locality-aware victim selection: retry the last successful victim
-    /// while it stays live, then prefer a deque from that victim's
-    /// live-set shard, and only then fall back to the uniform draw
-    /// (Suksompong/Leiserson/Schardl, arXiv:1804.04773: localized
-    /// stealing retains near-optimal bounds).
-    Affinity,
-    /// [`Affinity`](Self::Affinity) victim selection plus metrics-driven
-    /// tuning: the per-worker probe budget ramps up when the observed
-    /// hit rate drops (contention) and the steal-half batch size ramps
-    /// up — within [`Config::steal_batch_limit`] — while victims are deep
-    /// enough to fill full batches (Gast/Khatiri/Trystram,
-    /// arXiv:1805.00857: batching changes the makespan bound when steals
-    /// have latency).
-    Adaptive,
-    /// The paper's §6 optimization: pick a random *worker*, then a random
-    /// deque from the deques that worker currently advertises as
-    /// stealable. Requires a little synchronization between workers but
-    /// wastes fewer attempts on empty deques.
-    WorkerThenDeque,
-}
-
-/// Timer implementation used to track latency deadlines. Analogous to
-/// [`DequeKind`]: both variants implement the same protocol, so either can
-/// back a run; the choice only affects constant factors. Kept selectable
-/// for ablation benchmarks (`resume_path`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimerKind {
-    /// Sharded hierarchical timer wheel: per-shard fine-grained locks,
-    /// amortized O(1) insertion, and expirations delivered in per-worker
-    /// batches. The default.
-    #[default]
-    Wheel,
-    /// The original single-threaded binary-heap timer behind one global
-    /// mutex: O(log n) insertion, one delivery per expiration. Kept as the
-    /// ablation baseline.
-    Heap,
-}
-
 /// Configuration for [`crate::Runtime`]. Build with the fluent setters.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
@@ -78,16 +30,11 @@ pub struct Config {
     pub workers: usize,
     /// Latency handling mode.
     pub mode: LatencyMode,
-    /// Steal policy.
-    pub steal_policy: StealPolicy,
     /// Hard cap on how many tasks one steal may transfer (steal-half
     /// claims `ceil(live/2)` up to this limit). The default of `1` is the
-    /// paper's analyzed single-task steal for every policy; raising it
-    /// enables batching for all policies, with [`StealPolicy::Adaptive`]
-    /// additionally sizing batches dynamically within the cap.
+    /// paper's analyzed single-task steal; raising it enables steal-half
+    /// batching.
     pub steal_batch_limit: usize,
-    /// Deque implementation.
-    pub deque_kind: DequeKind,
     /// Capacity of the global deque registry (`gDeques`). By Lemma 7 the
     /// algorithm needs at most `P · (U + 1)` deques; the default of 65 536
     /// is comfortable for any realistic suspension width.
@@ -96,12 +43,6 @@ pub struct Config {
     /// default) means one shard per worker, which keeps each worker's
     /// register/release traffic on its own shard.
     pub registry_shards: usize,
-    /// Whether thieves sample victims from the registry's live-set index
-    /// (`true`, the default) or from the whole allocated slot prefix (the
-    /// paper's plain `randomDeque()`, kept as an ablation baseline whose
-    /// probes can land on dead slots — see the `steals_dead_target`
-    /// metric).
-    pub live_index: bool,
     /// How long an idle worker parks between scavenging rounds, in
     /// microseconds. Bounds wake-up staleness for events that race with
     /// parking.
@@ -112,16 +53,14 @@ pub struct Config {
     pub pfor_grain: usize,
     /// Seed for the per-worker victim-selection RNGs.
     pub seed: u64,
-    /// Timer implementation.
-    pub timer_kind: TimerKind,
     /// Tick granularity of the timer wheel. Deadlines are rounded up to
     /// the next tick boundary, so this bounds both resume latency slop and
     /// the batching window: suspensions expiring within one tick of each
-    /// other are delivered together. Ignored by [`TimerKind::Heap`].
+    /// other are delivered together.
     pub timer_tick: Duration,
     /// Number of timer-wheel shards. `0` (the default) means one shard per
     /// worker, which makes a worker's insertions contend only with
-    /// expirations of its own timers. Ignored by [`TimerKind::Heap`].
+    /// expirations of its own timers.
     pub timer_shards: usize,
     /// Maximum resume events delivered to a worker in one batch. Larger
     /// batches amortize wake-up and locking cost; smaller ones reduce the
@@ -175,16 +114,12 @@ impl Default for Config {
                 .map(|n| n.get())
                 .unwrap_or(4),
             mode: LatencyMode::default(),
-            steal_policy: StealPolicy::default(),
             steal_batch_limit: 1,
-            deque_kind: DequeKind::default(),
             registry_capacity: 1 << 16,
             registry_shards: 0,
-            live_index: true,
             park_micros: 100,
             pfor_grain: 4,
             seed: 0x1A7E_11C1,
-            timer_kind: TimerKind::default(),
             timer_tick: Duration::from_micros(50),
             timer_shards: 0,
             resume_batch_limit: 1024,
@@ -215,22 +150,10 @@ impl Config {
         self
     }
 
-    /// Sets the steal policy.
-    pub fn steal_policy(mut self, p: StealPolicy) -> Self {
-        self.steal_policy = p;
-        self
-    }
-
     /// Sets the per-steal task transfer cap (clamped to ≥ 1; `1` is the
     /// paper's single-task steal).
     pub fn steal_batch_limit(mut self, n: usize) -> Self {
         self.steal_batch_limit = n.max(1);
-        self
-    }
-
-    /// Sets the deque implementation.
-    pub fn deque_kind(mut self, k: DequeKind) -> Self {
-        self.deque_kind = k;
         self
     }
 
@@ -243,13 +166,6 @@ impl Config {
     /// Sets the live-set shard count (`0` = one shard per worker).
     pub fn registry_shards(mut self, n: usize) -> Self {
         self.registry_shards = n;
-        self
-    }
-
-    /// Selects the thief sampling path: live-set index (`true`) or the
-    /// whole-slot-prefix baseline (`false`).
-    pub fn live_index(mut self, on: bool) -> Self {
-        self.live_index = on;
         self
     }
 
@@ -268,12 +184,6 @@ impl Config {
     /// Sets the RNG seed.
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
-        self
-    }
-
-    /// Sets the timer implementation.
-    pub fn timer_kind(mut self, k: TimerKind) -> Self {
-        self.timer_kind = k;
         self
     }
 
@@ -514,23 +424,11 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the steal policy.
-    pub fn steal_policy(mut self, p: StealPolicy) -> Self {
-        self.cfg.steal_policy = p;
-        self
-    }
-
     /// Sets the per-steal task transfer cap (steal-half batching). `0` is
     /// rejected at build time; `1` (the default) is the paper's
     /// single-task steal.
     pub fn steal_batch_limit(mut self, n: usize) -> Self {
         self.cfg.steal_batch_limit = n;
-        self
-    }
-
-    /// Sets the deque implementation.
-    pub fn deque_kind(mut self, k: DequeKind) -> Self {
-        self.cfg.deque_kind = k;
         self
     }
 
@@ -545,13 +443,6 @@ impl RuntimeBuilder {
     /// per worker; an explicit `0` is rejected at build time.
     pub fn registry_shards(mut self, n: usize) -> Self {
         self.registry_shards = Some(n);
-        self
-    }
-
-    /// Selects the thief sampling path: live-set index (`true`, the
-    /// default) or the whole-slot-prefix baseline (`false`).
-    pub fn live_index(mut self, on: bool) -> Self {
-        self.cfg.live_index = on;
         self
     }
 
@@ -571,12 +462,6 @@ impl RuntimeBuilder {
     /// Sets the RNG seed.
     pub fn seed(mut self, s: u64) -> Self {
         self.cfg.seed = s;
-        self
-    }
-
-    /// Sets the timer implementation.
-    pub fn timer_kind(mut self, k: TimerKind) -> Self {
-        self.cfg.timer_kind = k;
         self
     }
 
@@ -679,7 +564,6 @@ mod tests {
         let c = Config::default();
         assert!(c.workers >= 1);
         assert_eq!(c.mode, LatencyMode::Hide);
-        assert_eq!(c.steal_policy, StealPolicy::Uniform);
         assert_eq!(c.steal_batch_limit, 1, "single-task steal by default");
         assert!(c.registry_capacity >= c.workers);
         assert_eq!(
@@ -729,10 +613,7 @@ mod tests {
 
     #[test]
     fn steal_knobs() {
-        let c = Config::default()
-            .steal_policy(StealPolicy::Adaptive)
-            .steal_batch_limit(16);
-        assert_eq!(c.steal_policy, StealPolicy::Adaptive);
+        let c = Config::default().steal_batch_limit(16);
         assert_eq!(c.steal_batch_limit, 16);
 
         // Builder: explicit 0 rejected, valid values pass through.
@@ -741,27 +622,22 @@ mod tests {
             Some(ConfigError::ZeroStealBatchLimit)
         );
         let cfg = RuntimeBuilder::new()
-            .steal_policy(StealPolicy::Affinity)
             .steal_batch_limit(8)
             .validate()
             .unwrap();
-        assert_eq!(cfg.steal_policy, StealPolicy::Affinity);
         assert_eq!(cfg.steal_batch_limit, 8);
     }
 
     #[test]
     fn timer_knobs() {
         let c = Config::default();
-        assert_eq!(c.timer_kind, TimerKind::Wheel);
         assert_eq!(c.timer_shards, 0);
         assert!(c.resume_batch_limit >= 1);
 
         let c = c
-            .timer_kind(TimerKind::Heap)
             .timer_tick(Duration::ZERO)
             .timer_shards(3)
             .resume_batch_limit(0);
-        assert_eq!(c.timer_kind, TimerKind::Heap);
         assert_eq!(c.timer_tick, Duration::from_micros(1));
         assert_eq!(c.timer_shards, 3);
         assert_eq!(c.resume_batch_limit, 1);
@@ -771,10 +647,8 @@ mod tests {
     fn registry_knobs() {
         let c = Config::default();
         assert_eq!(c.registry_shards, 0);
-        assert!(c.live_index);
-        let c = c.registry_shards(4).live_index(false);
+        let c = c.registry_shards(4);
         assert_eq!(c.registry_shards, 4);
-        assert!(!c.live_index);
 
         // Builder: explicit 0 shards rejected, omitted means auto.
         assert_eq!(
@@ -819,11 +693,9 @@ mod tests {
         let c = Config::default()
             .workers(3)
             .mode(LatencyMode::Block)
-            .steal_policy(StealPolicy::WorkerThenDeque)
             .seed(9);
         assert_eq!(c.workers, 3);
         assert_eq!(c.mode, LatencyMode::Block);
-        assert_eq!(c.steal_policy, StealPolicy::WorkerThenDeque);
         assert_eq!(c.seed, 9);
     }
 }

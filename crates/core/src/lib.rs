@@ -70,16 +70,13 @@ mod retry;
 pub mod rng;
 mod runtime;
 mod sleep;
-mod steal;
 pub mod sync;
 mod task;
 mod timer;
 pub mod trace;
 mod worker;
 
-pub use config::{
-    Config, ConfigError, LatencyMode, RuntimeBuilder, StealPolicy, TimerKind, MAX_REACTOR_SHARDS,
-};
+pub use config::{Config, ConfigError, LatencyMode, RuntimeBuilder, MAX_REACTOR_SHARDS};
 pub use driver::{Driver, DriverHooks, DriverReport, IoShardSnapshot, IoShardStats, IoTraceEvent};
 pub use external::{
     external_op, Canceled, Completer, DeadlineExt, DeadlineOp, ExternalOp, OpError,

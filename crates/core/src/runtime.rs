@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::{Duration, Instant};
 
-use lhws_deque::{DequeId, Registry};
+use lhws_deque::Registry;
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::{Config, ConfigError, RuntimeBuilder};
@@ -19,7 +19,7 @@ use crate::metrics::{CachePadded, Counters, MetricsSnapshot};
 use crate::obs::Observer;
 use crate::sleep::Sleepers;
 use crate::task::{Task, TaskRef};
-use crate::timer::{ResumeEvent, ResumeSink, Timer, TimerEntry};
+use crate::timer::{ResumeEvent, ResumeSink, TimerEntry, WheelTimer};
 use crate::trace::{EventKind, Trace, Tracer, NONE_ID};
 use crate::worker::{self, Worker};
 
@@ -48,12 +48,10 @@ pub(crate) struct RtInner {
     pub sleepers: Sleepers,
     /// Shutdown flag checked by every worker iteration.
     shutdown: AtomicBool,
-    /// The timer (set right after construction).
-    timer: OnceLock<Timer>,
+    /// The timer wheel (set right after construction).
+    timer: OnceLock<Arc<WheelTimer>>,
     /// Metrics counters (shared block + per-worker padded blocks).
     pub counters: Counters,
-    /// Advertised stealable deques per worker (WorkerThenDeque policy).
-    pub shared_steal: Vec<Mutex<Vec<DequeId>>>,
     /// Event tracer; `None` (the default) is the whole cost of disabled
     /// tracing. See [`crate::trace`].
     pub tracer: Option<Arc<Tracer>>,
@@ -84,7 +82,7 @@ pub(crate) struct RtInner {
 }
 
 impl RtInner {
-    pub fn timer(&self) -> &Timer {
+    pub fn timer(&self) -> &WheelTimer {
         self.timer.get().expect("timer started in Runtime::new")
     }
 
@@ -322,7 +320,6 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("workers", &self.inner.config.workers)
             .field("mode", &self.inner.config.mode)
-            .field("timer", &self.inner.config.timer_kind)
             .finish_non_exhaustive()
     }
 }
@@ -400,7 +397,6 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             timer: OnceLock::new(),
             counters: Counters::with_workers(p),
-            shared_steal: (0..p).map(|_| Mutex::new(Vec::new())).collect(),
             tracer,
             faults,
             poisoned: OnceLock::new(),
@@ -410,7 +406,16 @@ impl Runtime {
             io_shard_stats: Mutex::new(Vec::new()),
         });
 
-        let (timer, timer_threads) = Timer::start(&config, inner.clone() as Arc<dyn ResumeSink>);
+        let (timer, timer_threads) = WheelTimer::start(
+            if config.timer_shards == 0 {
+                p
+            } else {
+                config.timer_shards
+            },
+            config.timer_tick,
+            config.resume_batch_limit,
+            inner.clone() as Arc<dyn ResumeSink>,
+        );
         inner
             .timer
             .set(timer)

@@ -78,9 +78,8 @@ pub enum StealOutcome {
     /// retry budget ran out.
     LostRace,
     /// The victim deque was dead: freed into its owner's recycling pool
-    /// and not yet reused. Only the slot-array baseline sampler
-    /// (`Registry::random_id`) produces these in steady state; the
-    /// live-set index drives them to ~0.
+    /// and not yet reused. A live-set draw only lands on one when it
+    /// races the `free()`, so these stay near zero.
     Dead,
 }
 

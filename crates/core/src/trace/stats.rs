@@ -159,8 +159,8 @@ pub struct TraceStats {
     pub steal_empty: u64,
     /// Attempts abandoned after losing pop-top races.
     pub steal_lost_race: u64,
-    /// Attempts that sampled a dead (freed, not reused) deque — the
-    /// slot-array baseline's probe waste; ~0 under the live-set index.
+    /// Attempts whose live-set draw raced the victim's `free()` and found
+    /// it dead (freed, not reused); ~0 in practice.
     pub steal_dead: u64,
     /// Multi-task steal batches recorded (steal-half claims of ≥ 2).
     pub steal_batches: u64,

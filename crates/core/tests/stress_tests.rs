@@ -6,9 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lhws_core::channel::{mpsc, oneshot};
-use lhws_core::{
-    fork2, join_all, simulate_latency, spawn, Config, LatencyMode, Runtime, StealPolicy,
-};
+use lhws_core::{fork2, join_all, simulate_latency, spawn, Config, LatencyMode, Runtime};
 
 fn rt(workers: usize) -> Runtime {
     Runtime::new(Config::default().workers(workers)).unwrap()
@@ -107,28 +105,6 @@ fn steal_storm_single_producer() {
     assert_eq!(done, 4_000);
     let m = rt.metrics();
     assert!(m.steals_succeeded > 0, "someone must have stolen: {m:?}");
-}
-
-#[test]
-fn worker_then_deque_under_load() {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(4)
-            .steal_policy(StealPolicy::WorkerThenDeque),
-    )
-    .unwrap();
-    let out = rt.block_on(async {
-        let hs: Vec<_> = (0..512)
-            .map(|i| {
-                spawn(async move {
-                    simulate_latency(Duration::from_micros((i % 13) * 100)).await;
-                    1u64
-                })
-            })
-            .collect();
-        join_all(hs).await.into_iter().sum::<u64>()
-    });
-    assert_eq!(out, 512);
 }
 
 #[test]

@@ -7,17 +7,14 @@
 //!    implemented from scratch on atomics. The owner pushes and pops at the
 //!    bottom; any number of thieves steal from the top.
 //! 2. **A mutex-based deque** ([`mutex_deque`]) with the same handle API,
-//!    used as a correctness oracle in tests and as an ablation point for the
-//!    benchmarks ("how much does the lock-free deque matter?").
+//!    used only as a correctness oracle in tests: the runtime never builds
+//!    it.
 //! 3. **The global deque registry** ([`registry`]) — the paper's `gDeques`
 //!    array plus `gTotalDeques` counter (Figure 5). Deques are allocated with
 //!    a fetch-and-add, are never deallocated, and are recycled through
-//!    per-worker free lists. Thieves pick a uniformly random slot; hitting a
-//!    freed (empty) deque is simply a failed steal, exactly as analyzed.
-//!
-//! The two deque implementations are unified behind the [`WorkerHandle`] /
-//! [`StealerHandle`] enums so the runtime can switch implementations from a
-//! config knob without generics spreading through every scheduler type.
+//!    per-worker free lists. Thieves draw a uniformly random deque from a
+//!    live-set index over the registry; a draw that races a `free()` is
+//!    simply a failed steal, exactly as analyzed.
 
 #![warn(missing_docs)]
 
@@ -65,140 +62,13 @@ impl<T> Steal<T> {
     }
 }
 
-/// Which deque implementation to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DequeKind {
-    /// The lock-free Chase–Lev deque (default; the paper's choice).
-    #[default]
-    ChaseLev,
-    /// A mutex-protected `VecDeque` with identical semantics.
-    Mutex,
-}
-
-/// Owner-side handle of either deque implementation.
-///
-/// Exactly one `WorkerHandle` exists per deque; it is not `Sync` and not
-/// `Clone`, which statically enforces the single-owner discipline the
-/// Chase–Lev algorithm requires ("each deque is always owned by the same
-/// single worker" — paper, §3).
-#[derive(Debug)]
-pub enum WorkerHandle<T> {
-    /// Chase–Lev owner handle.
-    ChaseLev(ChaseLevWorker<T>),
-    /// Mutex-deque owner handle.
-    Mutex(MutexWorker<T>),
-}
-
-impl<T: Send> WorkerHandle<T> {
-    /// Creates a fresh, empty deque of the given kind, returning both ends.
-    pub fn new(kind: DequeKind) -> (WorkerHandle<T>, StealerHandle<T>) {
-        match kind {
-            DequeKind::ChaseLev => {
-                let (w, s) = chase_lev::deque();
-                (WorkerHandle::ChaseLev(w), StealerHandle::ChaseLev(s))
-            }
-            DequeKind::Mutex => {
-                let (w, s) = mutex_deque::deque();
-                (WorkerHandle::Mutex(w), StealerHandle::Mutex(s))
-            }
-        }
-    }
-
-    /// Pushes an item onto the bottom (owner end) of the deque.
-    pub fn push_bottom(&self, item: T) {
-        match self {
-            WorkerHandle::ChaseLev(w) => w.push_bottom(item),
-            WorkerHandle::Mutex(w) => w.push_bottom(item),
-        }
-    }
-
-    /// Pops an item from the bottom (owner end) of the deque.
-    pub fn pop_bottom(&self) -> Option<T> {
-        match self {
-            WorkerHandle::ChaseLev(w) => w.pop_bottom(),
-            WorkerHandle::Mutex(w) => w.pop_bottom(),
-        }
-    }
-
-    /// True if the deque appears empty from the owner's side.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            WorkerHandle::ChaseLev(w) => w.is_empty(),
-            WorkerHandle::Mutex(w) => w.is_empty(),
-        }
-    }
-
-    /// Number of items currently in the deque (owner-side snapshot).
-    pub fn len(&self) -> usize {
-        match self {
-            WorkerHandle::ChaseLev(w) => w.len(),
-            WorkerHandle::Mutex(w) => w.len(),
-        }
-    }
-
-    /// Returns a new stealer end for this deque.
-    pub fn stealer(&self) -> StealerHandle<T> {
-        match self {
-            WorkerHandle::ChaseLev(w) => StealerHandle::ChaseLev(w.stealer()),
-            WorkerHandle::Mutex(w) => StealerHandle::Mutex(w.stealer()),
-        }
-    }
-}
-
-/// Thief-side handle of either deque implementation. Cheap to clone.
-#[derive(Debug)]
-pub enum StealerHandle<T> {
-    /// Chase–Lev thief handle.
-    ChaseLev(ChaseLevStealer<T>),
-    /// Mutex-deque thief handle.
-    Mutex(MutexStealer<T>),
-}
-
-impl<T> Clone for StealerHandle<T> {
-    fn clone(&self) -> Self {
-        match self {
-            StealerHandle::ChaseLev(s) => StealerHandle::ChaseLev(s.clone()),
-            StealerHandle::Mutex(s) => StealerHandle::Mutex(s.clone()),
-        }
-    }
-}
-
-impl<T: Send> StealerHandle<T> {
-    /// Attempts to steal the top item (the paper's `popTop`).
-    pub fn steal(&self) -> Steal<T> {
-        match self {
-            StealerHandle::ChaseLev(s) => s.steal(),
-            StealerHandle::Mutex(s) => s.steal(),
-        }
-    }
-
-    /// Steal-half: takes up to `ceil(live / 2)` items (capped at `limit`,
-    /// clamped to at least 1) from the top, appending them to `out` in
-    /// original top-to-bottom order and returning how many were claimed.
-    /// `limit == 1` is exactly the single-item [`steal`](Self::steal).
-    pub fn steal_batch_into(&self, limit: usize, out: &mut Vec<T>) -> Steal<usize> {
-        match self {
-            StealerHandle::ChaseLev(s) => s.steal_batch_into(limit, out),
-            StealerHandle::Mutex(s) => s.steal_batch_into(limit, out),
-        }
-    }
-
-    /// True if the deque appears empty to a thief (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        match self {
-            StealerHandle::ChaseLev(s) => s.is_empty(),
-            StealerHandle::Mutex(s) => s.is_empty(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn handle_roundtrip_chase_lev() {
-        let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+        let (w, s) = chase_lev::deque();
         w.push_bottom(1);
         w.push_bottom(2);
         assert_eq!(w.len(), 2);
@@ -210,7 +80,7 @@ mod tests {
 
     #[test]
     fn handle_roundtrip_mutex() {
-        let (w, s) = WorkerHandle::new(DequeKind::Mutex);
+        let (w, s) = mutex_deque::deque();
         w.push_bottom(10);
         w.push_bottom(20);
         assert_eq!(s.steal().success(), Some(10));
@@ -220,23 +90,28 @@ mod tests {
 
     #[test]
     fn handle_steal_batch_both_kinds() {
-        for kind in [DequeKind::ChaseLev, DequeKind::Mutex] {
-            let (w, s) = WorkerHandle::new(kind);
-            for i in 0..6 {
-                w.push_bottom(i);
-            }
-            let mut out = Vec::new();
-            assert_eq!(s.steal_batch_into(8, &mut out), Steal::Success(3));
-            assert_eq!(out, vec![0, 1, 2], "{kind:?} batch in order");
-            out.clear();
-            assert_eq!(s.steal_batch_into(1, &mut out), Steal::Success(1));
-            assert_eq!(out, vec![3], "{kind:?} limit=1 degenerate case");
+        let (cw, cs) = chase_lev::deque();
+        let (mw, ms) = mutex_deque::deque();
+        for i in 0..6 {
+            cw.push_bottom(i);
+            mw.push_bottom(i);
         }
+        let (mut c, mut m) = (Vec::new(), Vec::new());
+        assert_eq!(cs.steal_batch_into(8, &mut c), Steal::Success(3));
+        assert_eq!(ms.steal_batch_into(8, &mut m), Steal::Success(3));
+        assert_eq!(c, vec![0, 1, 2], "chase-lev batch in order");
+        assert_eq!(m, c, "mutex oracle agrees");
+        c.clear();
+        m.clear();
+        assert_eq!(cs.steal_batch_into(1, &mut c), Steal::Success(1));
+        assert_eq!(ms.steal_batch_into(1, &mut m), Steal::Success(1));
+        assert_eq!(c, vec![3], "limit=1 degenerate case");
+        assert_eq!(m, c, "mutex oracle agrees");
     }
 
     #[test]
     fn stealer_handle_clone() {
-        let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+        let (w, s) = chase_lev::deque();
         let s2 = s.clone();
         w.push_bottom(7);
         assert_eq!(s2.steal().success(), Some(7));
@@ -245,7 +120,7 @@ mod tests {
 
     #[test]
     fn extra_stealer_from_worker() {
-        let (w, _s) = WorkerHandle::new(DequeKind::Mutex);
+        let (w, _s) = mutex_deque::deque();
         let s2 = w.stealer();
         w.push_bottom(5);
         assert_eq!(s2.steal().success(), Some(5));

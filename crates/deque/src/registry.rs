@@ -14,9 +14,10 @@
 //!   case the steal simply fails. The worst-case analysis already accounts
 //!   for these failed steals.
 //!
-//! This module keeps that contract — [`Registry::random_id`] still samples
-//! the whole allocated prefix, and slots are written once and never removed
-//! — but adds two scalability layers on top:
+//! This module keeps that contract — slots are written once and never
+//! removed — but thieves draw from a live-set index instead of the whole
+//! allocated prefix, so a draw never wastes a probe on a deque that was
+//! `free()`d before it. Two scalability layers sit on top:
 //!
 //! 1. **Segmented slot storage.** Slots live in power-of-two-sized segments
 //!    (8, 16, 32, …) allocated lazily on first use, so a registry configured
@@ -44,7 +45,7 @@
 //! dead weight for thieves.
 
 use crate::sync::{AtomicU32, AtomicU64, AtomicUsize, Mutex, OnceLock, Ordering};
-use crate::{Steal, StealerHandle};
+use crate::{ChaseLevStealer, Steal};
 
 /// Index of a deque in the global registry.
 ///
@@ -93,7 +94,7 @@ impl std::error::Error for RegistryError {}
 #[derive(Debug)]
 pub struct Slot<T> {
     /// Thief end of the deque.
-    pub stealer: StealerHandle<T>,
+    pub stealer: ChaseLevStealer<T>,
     /// Id of the worker that owns (and forever will own) this deque.
     pub owner: usize,
 }
@@ -289,7 +290,7 @@ impl<T: Send> Registry<T> {
     pub fn register(
         &self,
         owner: usize,
-        stealer: StealerHandle<T>,
+        stealer: ChaseLevStealer<T>,
     ) -> Result<DequeId, RegistryError> {
         let i = self.count.fetch_add(1, Ordering::Relaxed);
         if i >= self.capacity {
@@ -510,32 +511,14 @@ impl<T: Send> Registry<T> {
         }
     }
 
-    /// Maps a uniform random value onto an allocated deque id, i.e. the
-    /// paper's `randomDeque()` over `[0, gTotalDeques)`. Returns `None`
-    /// when no deque exists yet.
-    ///
-    /// The sampled slot may be dead (freed); the caller eats a failed
-    /// steal, exactly as the paper's analysis assumes. This is the
-    /// ablation baseline for [`random_live_id`](Self::random_live_id).
+    /// Maps a uniform random value onto a **live** deque id — the
+    /// paper's `randomDeque()` — uniform over the live set (to within the
+    /// race window of concurrent register/release traffic). Returns `None`
+    /// when the live set is empty.
     ///
     /// Uses the widening-multiply mapping `(uniform * n) >> 64` instead of
     /// `uniform % n`: same cost, and the result is uniform to within
-    /// 2⁻⁶⁴·n instead of the modulo's bias toward small ids (which for the
-    /// analyzed `randomDeque()` would systematically favor the deques
-    /// allocated first).
-    pub fn random_id(&self, uniform: u64) -> Option<DequeId> {
-        let n = self.len() as u64;
-        if n == 0 {
-            None
-        } else {
-            Some(DequeId(((uniform as u128 * n as u128) >> 64) as u32))
-        }
-    }
-
-    /// Maps a uniform random value onto a **live** deque id: uniform over
-    /// the live set (to within the race window of concurrent
-    /// register/release traffic). Returns `None` when the live set is
-    /// empty.
+    /// 2⁻⁶⁴·n instead of the modulo's bias toward the first entries.
     ///
     /// The thief sums the shard lengths without locks, widening-multiplies
     /// the uniform value onto the total, walks shards to the target, and
@@ -583,29 +566,6 @@ impl<T: Send> Registry<T> {
         }
         None
     }
-
-    /// Maps a uniform random value onto a live deque id **within shard
-    /// `shard`** (taken modulo the shard count), or `None` when that shard
-    /// is currently empty. Same lock-free single-entry-load draw as
-    /// [`random_live_id`](Self::random_live_id), restricted to one shard —
-    /// the locality-preferring half of an affinity steal policy (deques
-    /// land in shard `owner % shards`, so one shard groups the deques of
-    /// related workers). Racy like every live-set read: a returned id may
-    /// die before the steal reaches it.
-    pub fn random_live_id_in_shard(&self, shard: usize, uniform: u64) -> Option<DequeId> {
-        let shard = &self.shards[shard % self.shards.len()];
-        let n = shard.len.load(Ordering::Acquire);
-        if n == 0 {
-            return None;
-        }
-        let mut target = ((uniform as u128 * n as u128) >> 64) as usize;
-        // Clamp against a concurrent shrink between the length load and
-        // the entry read; a stale entry just yields a failed steal.
-        target = target.min(n - 1);
-        shard
-            .entry(target)
-            .map(|e| DequeId(e.load(Ordering::Acquire)))
-    }
 }
 
 impl<T> std::fmt::Debug for Registry<T> {
@@ -626,12 +586,12 @@ impl<T> std::fmt::Debug for Registry<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DequeKind, WorkerHandle};
+    use crate::chase_lev::deque;
 
     #[test]
     fn register_and_steal() {
         let reg = Registry::with_capacity(8);
-        let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+        let (w, s) = deque();
         let id = reg.register(0, s).unwrap();
         assert_eq!(id, DequeId(0));
         assert_eq!(reg.len(), 1);
@@ -644,7 +604,7 @@ mod tests {
     fn sequential_ids() {
         let reg: Registry<u32> = Registry::with_capacity(4);
         for i in 0..4 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
+            let (_w, s) = deque();
             let id = reg.register(i, s).unwrap();
             assert_eq!(id.index(), i);
         }
@@ -654,9 +614,9 @@ mod tests {
     #[test]
     fn capacity_exhaustion() {
         let reg: Registry<u32> = Registry::with_capacity(2);
-        let (_w1, s1) = WorkerHandle::new(DequeKind::Mutex);
-        let (_w2, s2) = WorkerHandle::new(DequeKind::Mutex);
-        let (_w3, s3) = WorkerHandle::new(DequeKind::Mutex);
+        let (_w1, s1) = deque();
+        let (_w2, s2) = deque();
+        let (_w3, s3) = deque();
         assert!(reg.register(0, s1).is_ok());
         assert!(reg.register(0, s2).is_ok());
         assert_eq!(reg.register(0, s3), Err(RegistryError::Full));
@@ -665,35 +625,15 @@ mod tests {
     }
 
     #[test]
-    fn random_id_distribution_covers_all() {
-        let reg: Registry<u32> = Registry::with_capacity(16);
-        for _ in 0..5 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
-            reg.register(0, s).unwrap();
-        }
-        let mut seen = std::collections::HashSet::new();
-        // Uniform values spread across the whole u64 range (the mapping is
-        // `(u * n) >> 64`, so coverage needs full-range inputs).
-        for i in 0..100u64 {
-            let u = i.wrapping_mul(u64::MAX / 100);
-            let id = reg.random_id(u).unwrap();
-            assert!(id.index() < 5, "id out of range");
-            seen.insert(id);
-        }
-        assert_eq!(seen.len(), 5);
-    }
-
-    #[test]
     fn random_id_empty_registry() {
         let reg: Registry<u32> = Registry::with_capacity(4);
-        assert_eq!(reg.random_id(12345), None);
         assert_eq!(reg.random_live_id(12345), None);
     }
 
     #[test]
     fn owner_metadata() {
         let reg: Registry<u32> = Registry::with_capacity(4);
-        let (_w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+        let (_w, s) = deque();
         let id = reg.register(7, s).unwrap();
         assert_eq!(reg.get(id).unwrap().owner, 7);
         assert_eq!(reg.owner_of(id), Some(7));
@@ -709,7 +649,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut ids = Vec::new();
                 for _ in 0..100 {
-                    let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+                    let (w, s) = deque();
                     ids.push(reg.register(t, s).unwrap());
                     // Keep the worker alive long enough to register; deque
                     // contents do not matter for this test.
@@ -756,7 +696,7 @@ mod tests {
         let reg: Registry<u32> = Registry::with_capacity(1 << 12);
         let mut ids = Vec::new();
         for i in 0..100 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
+            let (_w, s) = deque();
             ids.push(reg.register(i, s).unwrap());
         }
         for (i, id) in ids.iter().enumerate() {
@@ -767,7 +707,7 @@ mod tests {
     #[test]
     fn release_and_reuse_cycle() {
         let reg: Registry<u32> = Registry::with_capacity(8);
-        let (_w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+        let (_w, s) = deque();
         let id = reg.register(0, s).unwrap();
         assert!(reg.is_live(id));
         assert_eq!(reg.live_len(), 1);
@@ -785,7 +725,7 @@ mod tests {
         let reg: Registry<u32> = Registry::with_capacity(64);
         let mut ids = Vec::new();
         for _ in 0..16 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
+            let (_w, s) = deque();
             ids.push(reg.register(0, s).unwrap());
         }
         // Kill all but three.
@@ -811,7 +751,7 @@ mod tests {
         let reg: Registry<u32> = Registry::with_capacity(8);
         let mut ids = Vec::new();
         for _ in 0..4 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
+            let (_w, s) = deque();
             ids.push(reg.register(0, s).unwrap());
         }
         // Releasing the head swap-moves the tail into position 0; the
@@ -828,7 +768,7 @@ mod tests {
         let reg: Registry<u32> = Registry::with_capacity(2048);
         let mut ids = Vec::new();
         for _ in 0..1024 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
+            let (_w, s) = deque();
             ids.push(reg.register(0, s).unwrap());
         }
         let mut compacted = false;
@@ -851,14 +791,14 @@ mod tests {
         let mut mine = Vec::new();
         let mut theirs = Vec::new();
         for i in 0..3 {
-            let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+            let (w, s) = deque();
             let id = reg.register(0, s).unwrap();
             w.push_bottom(100 + i);
             keep.push(w);
             mine.push(id);
         }
         for _ in 0..2 {
-            let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+            let (w, s) = deque();
             theirs.push(reg.register(1, s).unwrap());
             keep.push(w);
         }
@@ -885,7 +825,7 @@ mod tests {
     #[test]
     fn steal_batch_through_registry() {
         let reg = Registry::with_capacity(8);
-        let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+        let (w, s) = deque();
         let id = reg.register(0, s).unwrap();
         for i in 0..8u32 {
             w.push_bottom(i);
@@ -898,39 +838,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_scoped_draw_stays_in_shard() {
-        let reg: Registry<u32> = Registry::with_capacity_and_shards(64, 4);
-        // Owners 0..8 spread over 4 shards; shard k holds owners k, k+4.
-        let mut ids = Vec::new();
-        for owner in 0..8 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
-            ids.push(reg.register(owner, s).unwrap());
-        }
-        for shard in 0..4 {
-            let expect: Vec<DequeId> = vec![ids[shard], ids[shard + 4]];
-            let mut seen = std::collections::HashSet::new();
-            for i in 0..100u64 {
-                let u = i.wrapping_mul(u64::MAX / 100);
-                let id = reg.random_live_id_in_shard(shard, u).unwrap();
-                assert!(expect.contains(&id), "draw left shard {shard}");
-                seen.insert(id);
-            }
-            assert_eq!(seen.len(), 2, "both shard members reachable");
-        }
-        // Draining a shard makes its draw return None.
-        reg.release(ids[1]);
-        reg.release(ids[5]);
-        assert_eq!(reg.random_live_id_in_shard(1, 12345), None);
-        // Out-of-range shard indices wrap instead of panicking.
-        assert!(reg.random_live_id_in_shard(4, 12345).is_some());
-    }
-
-    #[test]
     fn live_ids_spread_over_shards() {
         let reg: Registry<u32> = Registry::with_capacity_and_shards(64, 4);
         assert_eq!(reg.shard_count(), 4);
         for owner in 0..8 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
+            let (_w, s) = deque();
             reg.register(owner, s).unwrap();
         }
         assert_eq!(reg.live_len(), 8);

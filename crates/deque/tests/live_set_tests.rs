@@ -7,7 +7,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lhws_deque::{DequeId, DequeKind, Registry, Steal, WorkerHandle};
+use lhws_deque::chase_lev::deque;
+use lhws_deque::{ChaseLevWorker, DequeId, Registry, Steal};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,11 +18,11 @@ fn register_n(
     reg: &Registry<u64>,
     n: usize,
     owners: usize,
-) -> (Vec<DequeId>, Vec<WorkerHandle<u64>>) {
+) -> (Vec<DequeId>, Vec<ChaseLevWorker<u64>>) {
     let mut ids = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
     for i in 0..n {
-        let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+        let (w, s) = deque();
         ids.push(reg.register(i % owners, s).unwrap());
         handles.push(w);
     }
@@ -131,7 +132,7 @@ fn concurrent_churn_loses_no_deque() {
                 let mut rng = StdRng::seed_from_u64(o as u64);
                 let mut deques = Vec::new();
                 for i in 0..PER_OWNER {
-                    let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+                    let (w, s) = deque();
                     let id = reg.register(o, s).unwrap();
                     w.push_bottom((o * PER_OWNER + i) as u64);
                     deques.push((id, w, true));
@@ -246,7 +247,7 @@ fn growth_across_segments_keeps_index_consistent() {
     let mut handles = Vec::new();
     let mut expect_live = Vec::new();
     for i in 0..1000usize {
-        let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
+        let (w, s) = deque();
         let id = reg.register(i % 2, s).unwrap();
         handles.push(w);
         if i % 3 == 0 {

@@ -187,17 +187,6 @@ impl Reactor {
         }
     }
 
-    /// Creates a reactor for `rt` with the runtime's configured shard
-    /// count and attaches it as a driver.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Reactor::builder(rt).shards(n).edge_triggered(b).build()`; \
-                `new` is equivalent to `Reactor::builder(rt).build()`"
-    )]
-    pub fn new(rt: &Runtime) -> io::Result<Reactor> {
-        Reactor::builder(rt).build()
-    }
-
     /// True when this reactor serves a [`LatencyMode::Block`] runtime:
     /// sockets should stay in blocking mode and readiness waits are no-ops.
     pub fn is_blocking(&self) -> bool {

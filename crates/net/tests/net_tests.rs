@@ -240,42 +240,6 @@ fn shutdown_cancels_inflight_waits() {
     assert_eq!(canceled_seen.load(Ordering::SeqCst), 101);
 }
 
-/// The deprecated `Reactor::new` stays byte-compatible with the default
-/// builder: one shard, level-triggered, same echo behavior and clean
-/// shutdown accounting.
-#[test]
-#[allow(deprecated)]
-fn deprecated_new_matches_default_builder() {
-    let rt = hide_rt(2);
-    let reactor = Reactor::new(&rt).unwrap();
-    assert_eq!(reactor.shard_count(), 1);
-    assert!(!reactor.is_edge_triggered());
-
-    let r2 = reactor.clone();
-    rt.block_on(async move {
-        let listener = TcpListener::bind(&r2, "127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let serve = async {
-            let (mut conn, _) = listener.accept().await.unwrap();
-            let mut buf = [0u8; 8];
-            let n = conn.read(&mut buf).await.unwrap();
-            conn.write_all(&buf[..n]).await.unwrap();
-        };
-        let r3 = r2.clone();
-        let drive = async move {
-            let mut s = TcpStream::connect(&r3, addr).unwrap();
-            s.write_all(b"old").await.unwrap();
-            let mut buf = [0u8; 8];
-            let n = s.read(&mut buf).await.unwrap();
-            assert_eq!(&buf[..n], b"old");
-        };
-        fork2(serve, drive).await;
-    });
-    let report = rt.shutdown();
-    assert_eq!(report.canceled_io_waits, 0);
-    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
-}
-
 /// Under `LatencyMode::Block` the reactor spawns no thread and the same
 /// application code runs on blocking sockets.
 #[test]

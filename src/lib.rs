@@ -101,8 +101,6 @@ pub use lhws_core::{
     RuntimeBuilder,
     RuntimeError,
     ShutdownReport,
-    StealPolicy,
-    TimerKind,
     Trace,
     TraceBatch,
     TraceReader,
@@ -118,9 +116,6 @@ pub use lhws_net::{
     Interest, LineReader, Reactor, ReactorBuilder, ReadyFuture, TcpListener, TcpStream,
     TimedReadyFuture,
 };
-
-// Deque substrate knobs that surface through `Config`.
-pub use lhws_deque::DequeKind;
 
 // Module entry points with their own vocabularies.
 pub use lhws_core::channel;
@@ -145,15 +140,13 @@ pub mod prelude {
     pub use crate::{
         external_op, fork2, join_all, par_map_reduce, simulate_latency, spawn, yield_now, Config,
         DeadlineExt, Interest, JoinHandle, LatencyMode, LatencyProfile, Reactor, ReactorBuilder,
-        ReadyFuture, RemoteService, RetryPolicy, Runtime, RuntimeBuilder, StealPolicy, TcpListener,
-        TcpStream,
+        ReadyFuture, RemoteService, RetryPolicy, Runtime, RuntimeBuilder, TcpListener, TcpStream,
     };
 }
 
 // The `lhws::runtime` / `lhws::deque` crate aliases were deprecated for
 // one release and are now gone: import from the flat `lhws::` surface
-// (or `lhws::prelude`); the deque substrate is internal behind
-// `DequeKind`.
+// (or `lhws::prelude`); the deque substrate is internal.
 
 /// Crate version string, for tooling output headers.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

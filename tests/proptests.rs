@@ -15,8 +15,7 @@ use lhws::dag::offline::{greedy_bound, greedy_schedule, validate_schedule};
 use lhws::dag::suspension::{max_prefix_crossing, suspension_width, suspension_width_witness};
 use lhws::dag::Metrics;
 use lhws::sim::speedup::{run_lhws, run_ws};
-use lhws::DequeKind;
-use lhws_deque::{Steal, WorkerHandle};
+use lhws_deque::{chase_lev, mutex_deque, Steal};
 
 // ---------------------------------------------------------------------
 // Random block programs.
@@ -256,8 +255,8 @@ fn gen_ops(rng: &mut StdRng) -> Vec<Op> {
 fn chase_lev_matches_mutex_oracle() {
     for_cases(0xC1A5, 128, |rng, case| {
         let ops = gen_ops(rng);
-        let (cw, cs) = WorkerHandle::<u32>::new(DequeKind::ChaseLev);
-        let (mw, ms) = WorkerHandle::<u32>::new(DequeKind::Mutex);
+        let (cw, cs) = chase_lev::deque::<u32>();
+        let (mw, ms) = mutex_deque::deque::<u32>();
         for op in &ops {
             match op {
                 Op::Push(v) => {
